@@ -15,6 +15,7 @@ package cache
 import (
 	"fmt"
 
+	"txsampler/internal/htm"
 	"txsampler/internal/mem"
 )
 
@@ -131,18 +132,18 @@ type dirEntry struct {
 
 // AccessResult reports the outcome of one cache access.
 type AccessResult struct {
-	Latency     int
-	Hit         bool
-	Invalidated []int // cores whose copy was invalidated by this access
-	Evicted     bool  // this core's L1 evicted a line to make room
-	EvictedLine mem.Addr
+	Latency         int
+	Hit             bool
+	InvalidatedMask uint64 // bit c: core c's copy was invalidated by this access
+	Evicted         bool   // this core's L1 evicted a line to make room
+	EvictedLine     mem.Addr
 }
 
 // Hierarchy is the full multi-core cache system.
 type Hierarchy struct {
 	cfg   Config
 	cores []*l1
-	dir   map[mem.Addr]*dirEntry
+	dir   map[mem.Addr]dirEntry // by value: a miss allocates no entry object
 
 	// Stats, cumulative across all cores.
 	Hits, Misses, Invalidations, Evictions uint64
@@ -150,13 +151,13 @@ type Hierarchy struct {
 
 // New returns a hierarchy with n private L1 caches.
 func New(n int, cfg Config) *Hierarchy {
-	if n <= 0 || n > 64 {
-		panic(fmt.Sprintf("cache: core count %d out of range [1,64]", n))
+	if n <= 0 || n > htm.MaxThreads {
+		panic(fmt.Sprintf("cache: core count %d out of range [1,%d]", n, htm.MaxThreads))
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	h := &Hierarchy{cfg: cfg, dir: make(map[mem.Addr]*dirEntry)}
+	h := &Hierarchy{cfg: cfg, dir: make(map[mem.Addr]dirEntry)}
 	for i := 0; i < n; i++ {
 		h.cores = append(h.cores, newL1(cfg))
 	}
@@ -166,26 +167,20 @@ func New(n int, cfg Config) *Hierarchy {
 // Config returns the geometry the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-func (h *Hierarchy) entry(line mem.Addr) *dirEntry {
-	e := h.dir[line]
-	if e == nil {
-		e = &dirEntry{owner: -1}
-		h.dir[line] = e
-	}
-	return e
-}
-
 // Access performs a load (write=false) or store (write=true) by core to
 // the cache line containing a, updating coherence state, and returns
-// the latency and any remote invalidations. The returned Invalidated
-// slice is the set of *other* cores that lost their copy — the machine
-// layer uses it to charge sharing costs; the HTM engine performs its
-// own conflict detection on read/write sets.
+// the latency and any remote invalidations. The returned
+// InvalidatedMask is the set of *other* cores that lost their copy;
+// the HTM engine performs its own conflict detection on read/write
+// sets.
 func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 	line := a.Line()
 	set := h.cfg.SetIndex(line)
 	c := h.cores[core]
-	e := h.entry(line)
+	e, ok := h.dir[line]
+	if !ok {
+		e.owner = -1
+	}
 	w := c.lookup(set, line)
 
 	var res AccessResult
@@ -204,6 +199,7 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 			e.owner = -1
 		}
 		e.sharers |= 1 << uint(core)
+		h.dir[line] = e
 		res.EvictedLine, res.Evicted = c.insert(set, line, false)
 		if res.Evicted {
 			h.evictFrom(core, res.EvictedLine)
@@ -224,7 +220,7 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 	if e.owner >= 0 && e.owner != core {
 		res.Latency = h.cfg.RemoteLatency
 		h.invalidateAt(e.owner, line)
-		res.Invalidated = append(res.Invalidated, e.owner)
+		res.InvalidatedMask |= 1 << uint(e.owner)
 	}
 	for other := 0; other < len(h.cores); other++ {
 		if other == core || e.sharers&(1<<uint(other)) == 0 {
@@ -232,10 +228,9 @@ func (h *Hierarchy) Access(core int, a mem.Addr, write bool) AccessResult {
 		}
 		res.Latency = h.cfg.RemoteLatency
 		h.invalidateAt(other, line)
-		res.Invalidated = append(res.Invalidated, other)
+		res.InvalidatedMask |= 1 << uint(other)
 	}
-	e.sharers = 0
-	e.owner = core
+	h.dir[line] = dirEntry{owner: core}
 	if w != nil {
 		// Upgrade in place: no fill needed.
 		c.touch(w)
@@ -257,8 +252,8 @@ func (h *Hierarchy) invalidateAt(core int, line mem.Addr) {
 // evictFrom updates directory state after core silently evicted line.
 func (h *Hierarchy) evictFrom(core int, line mem.Addr) {
 	h.Evictions++
-	e := h.dir[line]
-	if e == nil {
+	e, ok := h.dir[line]
+	if !ok {
 		return
 	}
 	if e.owner == core {
@@ -267,6 +262,8 @@ func (h *Hierarchy) evictFrom(core int, line mem.Addr) {
 	e.sharers &^= 1 << uint(core)
 	if e.owner < 0 && e.sharers == 0 {
 		delete(h.dir, line)
+	} else {
+		h.dir[line] = e
 	}
 }
 

@@ -29,8 +29,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	h.Access(2, a, false)
 	h.Access(3, a, false)
 	r := h.Access(0, a, true)
-	if len(r.Invalidated) != 3 {
-		t.Fatalf("invalidated %v, want cores 1,2,3", r.Invalidated)
+	if r.InvalidatedMask != 1<<1|1<<2|1<<3 {
+		t.Fatalf("invalidated %#b, want cores 1,2,3", r.InvalidatedMask)
 	}
 	if r.Latency != cfg().RemoteLatency {
 		t.Fatalf("write over sharers latency = %d, want remote %d", r.Latency, cfg().RemoteLatency)
@@ -57,14 +57,14 @@ func TestReadDowngradesModified(t *testing.T) {
 	if r.Latency != cfg().RemoteLatency {
 		t.Fatalf("remote read latency = %d, want %d", r.Latency, cfg().RemoteLatency)
 	}
-	if len(r.Invalidated) != 0 {
-		t.Fatalf("read should not invalidate, got %v", r.Invalidated)
+	if r.InvalidatedMask != 0 {
+		t.Fatalf("read should not invalidate, got %#b", r.InvalidatedMask)
 	}
 	// Both copies are now shared; core 0 re-acquiring ownership must
 	// invalidate core 1.
 	r = h.Access(0, a, true)
-	if len(r.Invalidated) != 1 || r.Invalidated[0] != 1 {
-		t.Fatalf("upgrade invalidated %v, want [1]", r.Invalidated)
+	if r.InvalidatedMask != 1<<1 {
+		t.Fatalf("upgrade invalidated %#b, want core 1", r.InvalidatedMask)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestEvictionClearsDirectory(t *testing.T) {
 	h.Access(0, b, true) // evicts a
 	// Core 1 writing a must not see core 0 as owner anymore.
 	r := h.Access(1, a, true)
-	if len(r.Invalidated) != 0 {
-		t.Fatalf("write to evicted line invalidated %v, want none", r.Invalidated)
+	if r.InvalidatedMask != 0 {
+		t.Fatalf("write to evicted line invalidated %#b, want none", r.InvalidatedMask)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestDistinctLinesNoInterference(t *testing.T) {
 	a, b := mem.Addr(0x1000), mem.Addr(0x1040) // adjacent lines
 	h.Access(0, a, true)
 	r := h.Access(1, b, true)
-	if len(r.Invalidated) != 0 {
-		t.Fatalf("write to different line invalidated %v", r.Invalidated)
+	if r.InvalidatedMask != 0 {
+		t.Fatalf("write to different line invalidated %#b", r.InvalidatedMask)
 	}
 	if !h.Holds(0, a) || !h.Holds(1, b) {
 		t.Fatal("both cores should retain their lines")
@@ -134,8 +134,8 @@ func TestSameLineDifferentWordsConflict(t *testing.T) {
 	a := mem.Addr(0x2000)
 	h.Access(0, a, true)
 	r := h.Access(1, a+56, true)
-	if len(r.Invalidated) != 1 || r.Invalidated[0] != 0 {
-		t.Fatalf("false-sharing write invalidated %v, want [0]", r.Invalidated)
+	if r.InvalidatedMask != 1<<0 {
+		t.Fatalf("false-sharing write invalidated %#b, want core 0", r.InvalidatedMask)
 	}
 }
 

@@ -17,6 +17,7 @@ package htm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"txsampler/internal/mem"
 )
@@ -195,8 +196,44 @@ func (k CapacityKind) String() string {
 	}
 }
 
+// MaxThreads is the number of hardware threads the engine (and the
+// machine built around it) can track: a line's reader set is one bit
+// per thread in a uint64.
+const MaxThreads = 64
+
+// The line table is paged like mem's memory: 1024 lines (64 KiB of
+// address space) a page.
+const (
+	linePageShift = 10
+	linePageLines = 1 << linePageShift
+)
+
+// lineState is one cache line's transactional tracking state.
+type lineState struct {
+	readers uint64 // bit t: thread t's transaction holds the line in its read set
+	writer  uint8  // TID+1 of the transaction holding it in its write set, 0 if none
+	slot    uint32 // the writer's write-buffer index for this line
+}
+
+type linePage [linePageLines]lineState
+
+// wline buffers a transaction's stores to one line.
+type wline struct {
+	line  mem.Addr
+	valid uint8 // bit w: words[w] holds a buffered store
+	words [mem.WordsPerLine]mem.Word
+}
+
+// Store is one buffered transactional store, as Commit returns it.
+type Store struct {
+	Addr mem.Addr
+	Val  mem.Word
+}
+
 // Tx is one hardware transaction attempt. Fields are read-only for
-// callers; the engine mutates them.
+// callers; the engine mutates them. The engine keeps one Tx per thread
+// and reuses it on the thread's next Begin, so a *Tx is valid only
+// until then.
 type Tx struct {
 	ID  uint64
 	TID int // simulated thread owning the transaction
@@ -216,27 +253,40 @@ type Tx struct {
 
 	StartCycle uint64 // thread clock at XBEGIN, for abort-weight accounting
 
-	readSet  map[mem.Addr]struct{}
-	writeSet map[mem.Addr]struct{}
-	occBySet []uint16 // distinct tracked lines (read or write) per L1 set
-	writeBuf map[mem.Addr]mem.Word
+	bit      uint64       // 1 << TID: this transaction's reader bit
+	self     uint8        // TID+1: this transaction's writer tag
+	nRead    int          // distinct lines in the read set
+	tracked  []*lineState // lines in the read or write set, each once
+	occBySet []uint16     // distinct tracked lines (read or write) per L1 set
+	wbuf     []wline      // write buffer, one entry per write-set line
+	stores   []Store      // Commit's result, reused
 }
 
 // ReadSetLines and WriteSetLines report the current footprint.
-func (t *Tx) ReadSetLines() int  { return len(t.readSet) }
-func (t *Tx) WriteSetLines() int { return len(t.writeSet) }
+func (t *Tx) ReadSetLines() int  { return t.nRead }
+func (t *Tx) WriteSetLines() int { return len(t.wbuf) }
 
-// Engine tracks all in-flight transactions on the machine.
+// Engine tracks all in-flight transactions on the machine. The machine
+// calls it only from operations at their canonical (gated) position,
+// so the shared line table needs no locking.
 type Engine struct {
 	cfg    Config
 	nextID uint64
 
-	// readers maps a line to the transactions tracking it in their
-	// read set; writers maps a line to the single transaction holding
-	// it in its write set. Doomed transactions are removed eagerly,
-	// as hardware stops tracking an aborted transaction's lines.
-	readers map[mem.Addr]map[*Tx]struct{}
-	writers map[mem.Addr]*Tx
+	// pages is the line table: readers and writer of every line any
+	// transaction has touched, keyed by line index. Doomed
+	// transactions are removed eagerly, as hardware stops tracking an
+	// aborted transaction's lines. lastPN/last cache the most recent
+	// page lookup.
+	pages  map[uint64]*linePage
+	lastPN uint64
+	last   *linePage
+	// txs holds each thread's (reused) transaction; a line's reader
+	// bits and writer tag index it.
+	txs [MaxThreads]*Tx
+	// readLines and writeLines count the lines with at least one
+	// reader and with a writer.
+	readLines, writeLines int
 
 	// Stats.
 	Commits uint64
@@ -251,27 +301,61 @@ func NewEngine(cfg Config) *Engine {
 		panic(err.Error())
 	}
 	return &Engine{
-		cfg:     cfg,
-		readers: make(map[mem.Addr]map[*Tx]struct{}),
-		writers: make(map[mem.Addr]*Tx),
-		Aborts:  make(map[Cause]uint64),
+		cfg:    cfg,
+		pages:  make(map[uint64]*linePage),
+		Aborts: make(map[Cause]uint64),
 	}
 }
 
+// lineState returns the table entry for line, or nil if its page does
+// not exist and create is false.
+func (e *Engine) lineState(line mem.Addr, create bool) *lineState {
+	idx := line.LineIndex()
+	pn := idx >> linePageShift
+	p := e.last
+	if p == nil || pn != e.lastPN {
+		p = e.pages[pn]
+		if p == nil {
+			if !create {
+				return nil
+			}
+			p = new(linePage)
+			e.pages[pn] = p
+		}
+		e.last, e.lastPN = p, pn
+	}
+	return &p[idx&(linePageLines-1)]
+}
+
 // Begin starts a transaction for thread tid whose clock reads
-// startCycle.
+// startCycle. It reuses the thread's Tx, so any transaction the thread
+// still has in flight stops being tracked.
 func (e *Engine) Begin(tid int, startCycle uint64) *Tx {
+	if tid < 0 || tid >= MaxThreads {
+		panic(fmt.Sprintf("htm: thread id %d out of range [0,%d)", tid, MaxThreads))
+	}
 	e.nextID++
-	return &Tx{
+	tx := e.txs[tid]
+	if tx == nil {
+		tx = &Tx{occBySet: make([]uint16, e.cfg.Sets)}
+		e.txs[tid] = tx
+	} else {
+		e.untrack(tx)
+		clear(tx.occBySet)
+	}
+	*tx = Tx{
 		ID:         e.nextID,
 		TID:        tid,
 		AbortedBy:  -1,
 		StartCycle: startCycle,
-		readSet:    make(map[mem.Addr]struct{}),
-		writeSet:   make(map[mem.Addr]struct{}),
-		occBySet:   make([]uint16, e.cfg.Sets),
-		writeBuf:   make(map[mem.Addr]mem.Word),
+		bit:        1 << uint(tid),
+		self:       uint8(tid + 1),
+		tracked:    tx.tracked[:0],
+		occBySet:   tx.occBySet,
+		wbuf:       tx.wbuf[:0],
+		stores:     tx.stores[:0],
 	}
+	return tx
 }
 
 // Doom marks tx aborted with the given cause and untracks its lines.
@@ -296,19 +380,37 @@ func (e *Engine) doom(tx *Tx, cause Cause, byTID int, line mem.Addr, byTx bool) 
 }
 
 func (e *Engine) untrack(tx *Tx) {
-	for line := range tx.readSet {
-		if rs := e.readers[line]; rs != nil {
-			delete(rs, tx)
-			if len(rs) == 0 {
-				delete(e.readers, line)
+	for _, ls := range tx.tracked {
+		if ls.readers&tx.bit != 0 {
+			ls.readers &^= tx.bit
+			if ls.readers == 0 {
+				e.readLines--
 			}
 		}
-	}
-	for line := range tx.writeSet {
-		if e.writers[line] == tx {
-			delete(e.writers, line)
+		if ls.writer == tx.self {
+			ls.writer = 0
+			e.writeLines--
 		}
 	}
+	tx.tracked = tx.tracked[:0]
+}
+
+// doomReaders dooms every transaction in mask, in TID order.
+func (e *Engine) doomReaders(mask uint64, cause Cause, byTID int, line mem.Addr, byTx bool) {
+	for ; mask != 0; mask &= mask - 1 {
+		e.doom(e.txs[bits.TrailingZeros64(mask)], cause, byTID, line, byTx)
+	}
+}
+
+func mustAligned(a mem.Addr) {
+	if !a.WordAligned() {
+		panic(fmt.Sprintf("htm: unaligned transactional access at %s", a))
+	}
+}
+
+// wordIndex returns the index of a's word within its line.
+func wordIndex(a mem.Addr) uint {
+	return uint(a%mem.LineSize) / mem.WordSize
 }
 
 // Read performs a transactional load of the word at a. It returns the
@@ -321,17 +423,21 @@ func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
 	if tx.Doomed {
 		return 0, false
 	}
-	if v, ok := tx.writeBuf[a]; ok {
-		return v, true
-	}
+	mustAligned(a)
 	line := a.Line()
-	// Requester wins: a remote transaction holding the line in its
-	// write set receives our share request and aborts.
-	if w := e.writers[line]; w != nil && w != tx {
-		e.doom(w, Conflict, tx.TID, line, true)
+	ls := e.lineState(line, true)
+	if ls.writer == tx.self {
+		wl := &tx.wbuf[ls.slot]
+		if w := wordIndex(a); wl.valid&(1<<w) != 0 {
+			return wl.words[w], true
+		}
+	} else if ls.writer != 0 {
+		// Requester wins: a remote transaction holding the line in its
+		// write set receives our share request and aborts.
+		e.doom(e.txs[ls.writer-1], Conflict, tx.TID, line, true)
 	}
-	if _, tracked := tx.readSet[line]; !tracked {
-		if len(tx.readSet) >= e.cfg.maxRead() {
+	if ls.readers&tx.bit == 0 {
+		if tx.nRead >= e.cfg.maxRead() {
 			tx.CapKind = CapacityRead
 			e.Doom(tx, Capacity, -1, line)
 			return 0, false
@@ -340,7 +446,7 @@ func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
 		// tracked lines exceed the associativity cannot hold the
 		// footprint, and the transaction aborts (TSX read-set
 		// evictions behave this way on the modelled parts).
-		if _, written := tx.writeSet[line]; !written {
+		if ls.writer != tx.self {
 			set := int(line.LineIndex() % uint64(e.cfg.Sets))
 			if int(tx.occBySet[set]) >= e.cfg.Ways {
 				tx.CapKind = CapacityRead
@@ -348,14 +454,13 @@ func (e *Engine) Read(tx *Tx, a mem.Addr) (v mem.Word, ok bool) {
 				return 0, false
 			}
 			tx.occBySet[set]++
+			tx.tracked = append(tx.tracked, ls)
 		}
-		tx.readSet[line] = struct{}{}
-		rs := e.readers[line]
-		if rs == nil {
-			rs = make(map[*Tx]struct{})
-			e.readers[line] = rs
+		tx.nRead++
+		if ls.readers == 0 {
+			e.readLines++
 		}
-		rs[tx] = struct{}{}
+		ls.readers |= tx.bit
 	}
 	return 0, false
 }
@@ -369,19 +474,17 @@ func (e *Engine) Write(tx *Tx, a mem.Addr, v mem.Word) {
 	if tx.Doomed {
 		return
 	}
+	mustAligned(a)
 	line := a.Line()
-	if w := e.writers[line]; w != nil && w != tx {
-		e.doom(w, Conflict, tx.TID, line, true)
+	ls := e.lineState(line, true)
+	if ls.writer != 0 && ls.writer != tx.self {
+		e.doom(e.txs[ls.writer-1], Conflict, tx.TID, line, true)
 	}
-	for r := range e.readers[line] {
-		if r != tx {
-			e.doom(r, Conflict, tx.TID, line, true)
-		}
-	}
-	if _, tracked := tx.writeSet[line]; !tracked {
+	e.doomReaders(ls.readers&^tx.bit, Conflict, tx.TID, line, true)
+	if ls.writer != tx.self {
 		// A line already in the read set is already tracked in its L1
 		// set; only new lines consume a way.
-		if _, read := tx.readSet[line]; !read {
+		if ls.readers&tx.bit == 0 {
 			set := int(line.LineIndex() % uint64(e.cfg.Sets))
 			if int(tx.occBySet[set]) >= e.cfg.Ways {
 				tx.CapKind = CapacityWrite
@@ -389,11 +492,17 @@ func (e *Engine) Write(tx *Tx, a mem.Addr, v mem.Word) {
 				return
 			}
 			tx.occBySet[set]++
+			tx.tracked = append(tx.tracked, ls)
 		}
-		tx.writeSet[line] = struct{}{}
-		e.writers[line] = tx
+		ls.writer = tx.self
+		ls.slot = uint32(len(tx.wbuf))
+		tx.wbuf = append(tx.wbuf, wline{line: line})
+		e.writeLines++
 	}
-	tx.writeBuf[a] = v
+	wl := &tx.wbuf[ls.slot]
+	w := wordIndex(a)
+	wl.valid |= 1 << w
+	wl.words[w] = v
 }
 
 // NonTxAccess notifies the engine of a non-transactional access by
@@ -402,32 +511,42 @@ func (e *Engine) Write(tx *Tx, a mem.Addr, v mem.Word) {
 // non-transactional read conflicts with remote write sets.
 func (e *Engine) NonTxAccess(tid int, a mem.Addr, write bool) {
 	line := a.Line()
-	if w := e.writers[line]; w != nil && w.TID != tid {
-		e.Doom(w, Conflict, tid, line)
+	ls := e.lineState(line, false)
+	if ls == nil {
+		return
+	}
+	if ls.writer != 0 && int(ls.writer) != tid+1 {
+		e.Doom(e.txs[ls.writer-1], Conflict, tid, line)
 	}
 	if write {
-		for r := range e.readers[line] {
-			if r.TID != tid {
-				e.Doom(r, Conflict, tid, line)
-			}
-		}
+		e.doomReaders(ls.readers&^(1<<uint(tid)), Conflict, tid, line, false)
 	}
 }
 
 // Commit attempts to commit tx. On success it returns the buffered
-// stores for the machine to apply to memory and records the commit; if
-// the transaction was doomed it returns nil and false.
-func (e *Engine) Commit(tx *Tx) (stores map[mem.Addr]mem.Word, ok bool) {
+// stores for the machine to apply to memory, one per written word in
+// first-written-line order, and records the commit; if the transaction
+// was doomed it returns nil and false. The returned slice belongs to
+// the engine and is valid until the thread's next Begin.
+func (e *Engine) Commit(tx *Tx) (stores []Store, ok bool) {
 	if tx.Doomed {
 		return nil, false
 	}
 	e.untrack(tx)
 	e.Commits++
-	return tx.writeBuf, true
+	tx.stores = tx.stores[:0]
+	for i := range tx.wbuf {
+		wl := &tx.wbuf[i]
+		for m := wl.valid; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros8(m)
+			tx.stores = append(tx.stores, Store{Addr: wl.line.Offset(w), Val: wl.words[w]})
+		}
+	}
+	return tx.stores, true
 }
 
 // InFlight reports how many lines are globally tracked; used by tests
 // to verify no leaks after commits and aborts.
 func (e *Engine) InFlight() (readLines, writeLines int) {
-	return len(e.readers), len(e.writers)
+	return e.readLines, e.writeLines
 }

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,8 +22,8 @@ func TestCommitAppliesBufferedStores(t *testing.T) {
 	if !ok {
 		t.Fatal("commit failed")
 	}
-	if stores[0x1000] != 7 || stores[0x1008] != 8 {
-		t.Fatalf("stores = %v", stores)
+	if want := []Store{{0x1000, 7}, {0x1008, 8}}; !slices.Equal(stores, want) {
+		t.Fatalf("stores = %v, want %v", stores, want)
 	}
 	if e.Commits != 1 {
 		t.Fatalf("Commits = %d", e.Commits)

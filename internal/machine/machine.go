@@ -4,16 +4,19 @@
 // interrupts (aborting in-flight transactions), per-core LBR buffers,
 // and architectural call stacks that roll back on abort.
 //
-// Simulated threads are real goroutines driven one at a time by a
-// deterministic run-quantum scheduler: exactly one thread holds the
-// baton and executes operations inline while the per-op schedule
-// provably would keep selecting it (its clock stays below every other
-// live thread's clock, frozen at grant time), rendezvousing with the
-// scheduler only when it would lose that race or its quantum expires.
-// The resulting interleaving is the same total order over simulated
-// time the per-op scheduler (Quantum=1) produces — always advance the
-// runnable thread with the smallest local cycle clock — reproducible
-// for a given seed and workload, independent of the quantum.
+// Simulated threads are real goroutines. Their interleaving is the
+// canonical per-op schedule — always advance the runnable thread with
+// the smallest (local cycle clock, ID) — reproducible for a given seed
+// and workload. Two schedulers produce it. The default, sharded one
+// (sched_sharded.go) runs threads in parallel: operations on
+// thread-private state run ungated, and operations on shared state
+// (memory, caches, the HTM engine, sample delivery) pass a min-clock
+// gate that admits them exactly at their canonical position. The serial
+// run-quantum scheduler, kept for tracing and the Quantum=1 debug
+// schedule, hands one baton between threads; the holder runs inline
+// while its clock stays below every other live thread's clock, frozen
+// at grant time. Both are byte-identical to the per-op schedule and
+// independent of the quantum.
 package machine
 
 import (
@@ -203,8 +206,8 @@ func (c Config) withDefaults() Config {
 // conditions, treating them as API misuse.
 func (c Config) Validate() error {
 	d := c.withDefaults()
-	if d.Threads < 1 || d.Threads > 64 {
-		return fmt.Errorf("machine: thread count %d out of range [1,64]", d.Threads)
+	if d.Threads < 1 || d.Threads > htm.MaxThreads {
+		return fmt.Errorf("machine: thread count %d out of range [1,%d]", d.Threads, htm.MaxThreads)
 	}
 	if err := d.Cache.Validate(); err != nil {
 		return err

@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,6 +119,7 @@ type Thread struct {
 	sampleScratch Sample
 	lbrScratch    []lbr.Entry
 	truthScratch  []lbr.IP
+	storeScratch  []htm.Store // pmem commit: buffered stores in address order
 	stackScratch  []lbr.IP
 
 	// evBatch buffers this thread's trace events between flushes so
@@ -932,20 +934,17 @@ func (t *Thread) TxCommit() {
 		if d := t.m.pmem; d != nil {
 			// The write-through hook appends undo records, so the buffered
 			// stores must apply in a deterministic (address) order for the
-			// log bytes to be reproducible. The volatile-only machine keeps
-			// the original unordered apply: map order is invisible there.
-			addrs := make([]mem.Addr, 0, len(stores))
-			for a := range stores {
-				addrs = append(addrs, a)
-			}
-			sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-			for _, a := range addrs {
-				t.m.Mem.Store(a, stores[a])
-				cost += d.OnStore(t.ID, a, stores[a])
+			// log bytes to be reproducible. The volatile-only machine
+			// applies them in buffer order: store order is invisible there.
+			t.storeScratch = append(t.storeScratch[:0], stores...)
+			slices.SortFunc(t.storeScratch, func(a, b htm.Store) int { return cmp.Compare(a.Addr, b.Addr) })
+			for _, s := range t.storeScratch {
+				t.m.Mem.Store(s.Addr, s.Val)
+				cost += d.OnStore(t.ID, s.Addr, s.Val)
 			}
 		} else {
-			for a, v := range stores {
-				t.m.Mem.Store(a, v)
+			for _, s := range stores {
+				t.m.Mem.Store(s.Addr, s.Val)
 			}
 		}
 		t.commits++
