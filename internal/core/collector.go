@@ -209,8 +209,9 @@ type Profile struct {
 	paths     map[uint64][]cachedPath
 	pathCount int
 
-	// Self-telemetry counters (plain: sample delivery is serialized
-	// by the machine's baton scheduler), published via PublishMetrics.
+	// Self-telemetry counters (plain: the machine's scheduler gates
+	// sample delivery, so one thread delivers at a time), published
+	// via PublishMetrics.
 	cacheHits    uint64 // path-cache lookups resolved without rebuild
 	cacheMisses  uint64 // lookups that re-ran the reconstruction
 	inTxResolved uint64 // in-tx contexts rebuilt from LBR evidence

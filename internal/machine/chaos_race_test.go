@@ -1,9 +1,10 @@
 package machine_test
 
-// Race stress: the lockstep scheduler serializes all simulated-thread
-// state through channel rendezvous, so even with 8+ real goroutines,
-// fault storms, PMU interrupts, and a live collector, `go test -race`
-// must stay silent and the workload result must stay correct.
+// Race stress: the coroutine scheduler hands control between thread
+// goroutines only through iter.Pull switches, which are happens-before
+// edges, so even with 8+ thread goroutines, fault storms, PMU
+// interrupts, and a live collector, `go test -race` must stay silent
+// and the workload result must stay correct.
 
 import (
 	"testing"

@@ -4,8 +4,10 @@ package machine
 // workloads and broken profilers, never hang or corrupt state.
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"txsampler/internal/pmu"
 )
@@ -111,5 +113,23 @@ func TestAbortSentinelEscapingAttemptIsWorkloadError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("escaped abort sentinel not reported")
+	}
+}
+
+func TestGoexitInBodyIsWorkloadError(t *testing.T) {
+	// runtime.Goexit in a body (testing.T.FailNow called off the test
+	// goroutine, say) ends the run with an error naming the thread
+	// instead of hanging until the watchdog.
+	m := New(Config{Threads: 2, Watchdog: time.Minute})
+	a := m.Mem.AllocWords(1)
+	err := m.RunAll(func(t *Thread) {
+		t.Load(a)
+		if t.ID == 1 {
+			runtime.Goexit()
+		}
+		t.Load(a)
+	})
+	if err == nil || !strings.Contains(err.Error(), "thread 1 exited via runtime.Goexit") {
+		t.Fatalf("err = %v", err)
 	}
 }

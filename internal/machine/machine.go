@@ -4,28 +4,24 @@
 // interrupts (aborting in-flight transactions), per-core LBR buffers,
 // and architectural call stacks that roll back on abort.
 //
-// Simulated threads are real goroutines. Their interleaving is the
-// canonical per-op schedule — always advance the runnable thread with
-// the smallest (local cycle clock, ID) — reproducible for a given seed
-// and workload. Two schedulers produce it. The default, sharded one
-// (sched_sharded.go) runs threads in parallel: operations on
-// thread-private state run ungated, and operations on shared state
-// (memory, caches, the HTM engine, sample delivery) pass a min-clock
-// gate that admits them exactly at their canonical position. The serial
-// run-quantum scheduler, kept for tracing and the Quantum=1 debug
-// schedule, hands one baton between threads; the holder runs inline
-// while its clock stays below every other live thread's clock, frozen
-// at grant time. Both are byte-identical to the per-op schedule and
-// independent of the quantum.
+// Simulated threads are coroutines under one cooperative scheduler
+// (sched.go). Their interleaving is the canonical per-op schedule —
+// always advance the live thread with the smallest (local cycle clock,
+// ID) — reproducible for a given seed and workload. Operations on
+// thread-private state run ungated; operations on shared state
+// (memory, caches, the HTM engine, sample delivery) gate against a
+// horizon frozen when the driver resumed the thread, and yield to the
+// driver when they are not yet due. The schedule is independent of the
+// quantum, tracing and GOMAXPROCS.
 package machine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,32 +54,12 @@ func DefaultCosts() Costs {
 }
 
 // DefaultQuantum is the run-quantum applied when Config.Quantum is
-// zero: the most operations one thread may execute between scheduler
-// rendezvous. The horizon rule already forces a rendezvous whenever
-// another thread could be due, so the quantum only bounds how long the
-// watchdog's progress counter and status snapshots can go stale; it
-// does not affect the schedule.
+// zero: the most operations one thread executes between quantum
+// ticks. A tick refreshes the thread's status snapshot, feeds the
+// watchdog and checks for cancellation; it never switches threads, so
+// the quantum bounds how stale those can get and does not affect the
+// schedule.
 const DefaultQuantum = 4096
-
-// SchedMode selects the cross-thread coordination strategy.
-type SchedMode int
-
-const (
-	// SchedAuto picks the sharded scheduler except where the serial
-	// one is required: Quantum=1 (the per-op debug schedule) and
-	// tracing (run-slice tenures only exist serially).
-	SchedAuto SchedMode = iota
-	// SchedSerial is the baton scheduler: one thread runs at a time,
-	// handing off through a mutex/condvar rendezvous.
-	SchedSerial
-	// SchedSharded is the lock-free scheduler: threads run in
-	// parallel, publishing per-thread atomic epoch clocks; operations
-	// on shared state gate on a min-clock scan so every shared effect
-	// executes in the canonical (clock, ID) order. The schedule — and
-	// every profile built from it — is byte-identical to SchedSerial.
-	// See sched_sharded.go and DESIGN.md §3.2.
-	SchedSharded
-)
 
 // Config describes a machine.
 type Config struct {
@@ -135,25 +111,19 @@ type Config struct {
 	// with a diagnostic dump. Zero means unbounded.
 	MaxCycles uint64
 
-	// Quantum bounds the operations one thread executes between
-	// scheduler rendezvous. Zero selects DefaultQuantum; 1 forces a
-	// rendezvous after every operation (the per-op debug schedule).
-	// The schedule itself is quantum-invariant; see DESIGN.md.
+	// Quantum is the interval, in one thread's operations, between its
+	// quantum ticks (status snapshot, watchdog progress, cancellation
+	// check). Zero selects DefaultQuantum; 1 ticks after every
+	// operation. The schedule itself is quantum-invariant; see
+	// DESIGN.md.
 	Quantum int
 
-	// Sched selects the scheduler (see SchedMode). The default,
-	// SchedAuto, runs the sharded parallel scheduler unless Quantum=1
-	// or a Trace is attached, which require the serial one;
-	// SchedSharded with a Trace likewise falls back to serial. Both
-	// schedulers produce byte-identical schedules and profiles — the
-	// knob exists for A/B benchmarking and the equivalence tests.
-	Sched SchedMode
-
-	// Trace, when non-nil, records scheduler baton tenures,
-	// transaction regions (with abort causes), and PMU interrupt
-	// deliveries, timestamped with virtual cycle clocks — the trace
-	// content is deterministic for a seed and invariant to Quantum.
-	// Nil disables tracing; instrumented paths then pay one branch.
+	// Trace, when non-nil, records scheduler run slices, transaction
+	// regions (with abort causes), and PMU interrupt deliveries,
+	// timestamped with virtual cycle clocks — the trace content is
+	// deterministic for a seed and invariant to Quantum. Tracing does
+	// not change the run. Nil disables tracing; instrumented paths then
+	// pay one branch.
 	Trace *telemetry.Tracer
 
 	// Hybrid selects the hybrid-TM slow-path policy the rtm runtime
@@ -169,8 +139,8 @@ type Config struct {
 
 	// Context, when non-nil, cancels the run cooperatively:
 	// SIGINT/SIGTERM (via signal.NotifyContext) or a per-shard
-	// deadline stops the machine at the next scheduler rendezvous — a
-	// quantum boundary, so no thread is mid-operation and every
+	// deadline stops the machine at the running thread's next quantum
+	// tick — between operations, so no thread is mid-operation and every
 	// collector structure is consistent — and Run returns an error
 	// wrapping ErrCanceled and the context's cause. Machine state
 	// (Elapsed, GroundTruth, an attached collector) remains readable,
@@ -221,9 +191,6 @@ func (c Config) Validate() error {
 	if c.Quantum < 0 {
 		return fmt.Errorf("machine: negative scheduler quantum %d", c.Quantum)
 	}
-	if c.Sched < SchedAuto || c.Sched > SchedSharded {
-		return fmt.Errorf("machine: unknown scheduler mode %d", c.Sched)
-	}
 	if !c.Hybrid.Valid() {
 		return fmt.Errorf("machine: unknown hybrid policy %d", int(c.Hybrid))
 	}
@@ -241,24 +208,6 @@ func (c Config) Validate() error {
 			c.Faults.PmemCrashPoint)
 	}
 	return nil
-}
-
-// sharded resolves the scheduler choice for a defaulted Config. The
-// serial scheduler is required for the per-op debug schedule
-// (Quantum=1, whose whole point is a rendezvous per operation) and for
-// tracing (baton tenures only exist when a baton does).
-func (c Config) sharded() bool {
-	if c.Trace != nil {
-		return false
-	}
-	switch c.Sched {
-	case SchedSerial:
-		return false
-	case SchedSharded:
-		return true
-	default:
-		return c.Quantum != 1
-	}
 }
 
 // Sampling reports whether any PMU event is enabled.
@@ -292,48 +241,6 @@ type Machine struct {
 	ran bool
 }
 
-// scheduler is the shared baton state. Exactly one thread goroutine
-// runs at a time; every handoff takes mu, so all simulated-machine and
-// workload state is ordered by the mutex (the race detector agrees).
-// The scheduling decision itself lives in the threads: a yielding
-// thread picks and grants its successor directly, with no round trip
-// through a central goroutine.
-type scheduler struct {
-	mu       sync.Mutex
-	live     []*Thread // threads not yet finished, thread-ID order
-	status   []threadStatus
-	running  int  // ID of the thread holding the baton
-	stopped  bool // terminal: threads park at their next rendezvous
-	reported bool // a terminal result was sent on done
-	done     chan error
-	progress atomic.Uint64 // rendezvous counter for the watchdog
-
-	// cancelErr is set (under mu, by the context watcher) when the
-	// run's context is done; the next thread to rendezvous reports it
-	// and stops the machine at that quantum boundary.
-	cancelErr error
-
-	// Sharded-scheduler state (see sched_sharded.go). clocks holds one
-	// padded published-clock slot per thread; busy counts thread
-	// goroutines that have neither finished nor parked; stopFlag is
-	// the lock-free analogue of stopped, checked at every gate spin
-	// and quantum boundary.
-	sharded  bool
-	clocks   []paddedClock
-	busy     atomic.Int32
-	stopFlag atomic.Bool
-}
-
-// reportLocked delivers the terminal result (first one wins) and stops
-// the machine.
-func (s *scheduler) reportLocked(err error) {
-	if !s.reported {
-		s.reported = true
-		s.done <- err
-	}
-	s.stopped = true
-}
-
 // New constructs a machine. The configuration is validated and
 // defaulted; see Config. Invalid configurations panic — callers
 // turning user input into a Config should call Config.Validate first
@@ -354,10 +261,6 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.Pmem.Enabled {
 		m.pmem = pmem.New(cfg.Pmem, cfg.Faults, cfg.Threads)
-	}
-	m.sched.sharded = cfg.sharded()
-	if m.sched.sharded {
-		m.sched.clocks = make([]paddedClock, cfg.Threads)
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		m.threads = append(m.threads, newThread(m, i))
@@ -406,27 +309,17 @@ func (m *Machine) Run(bodies ...func(*Thread)) error {
 		m.pmem.Sync(m.Mem)
 	}
 	s := m.sched
-	s.live = make([]*Thread, len(m.threads))
-	copy(s.live, m.threads)
+	s.live = slices.Clone(m.threads)
 	s.status = make([]threadStatus, len(m.threads))
-	if s.sharded {
-		// Publish every thread's initial (possibly skewed) clock before
-		// any goroutine starts, so the first gate scans see real values.
-		for _, t := range m.threads {
-			s.clocks[t.ID].v.Store(t.clock)
-			t.lastPub = t.clock
-		}
-		s.busy.Store(int32(len(m.threads)))
+	for _, t := range m.threads {
+		t.lastPub = t.clock // publish the initial (possibly skewed) clock
 	}
 	if ctx := m.cfg.Context; ctx != nil && ctx.Err() != nil {
 		// A context canceled before Run is visible synchronously, so
 		// even workloads shorter than one quantum report ErrCanceled.
 		s.cancelErr = context.Cause(ctx)
 	}
-	for i, t := range m.threads {
-		go t.main(bodies[i])
-	}
-	return m.schedule()
+	return m.schedule(bodies)
 }
 
 // RunAll is a convenience that runs the same body on every thread.
@@ -443,20 +336,20 @@ func (m *Machine) RunAll(body func(*Thread)) error {
 const DefaultWatchdog = 30 * time.Second
 
 // threadStatus is the scheduler's own record of a thread's state at
-// its most recent rendezvous. It is written only under the scheduler
-// mutex (by the thread itself, right before it hands off the baton),
-// which makes the watchdog's diagnostic dump race-free even while a
-// stuck thread goroutine is blocked in workload code.
+// its most recent quantum tick. It is written only under the scheduler
+// mutex (by the thread itself), which makes the watchdog's diagnostic
+// dump race-free even while a stuck thread is blocked in workload
+// code.
 type threadStatus struct {
-	ops     uint64 // operations completed
-	clock   uint64
-	depth   int // call-stack depth
-	top     string
-	inTx    bool
-	txNest  int
-	state   uint32
-	yielded bool // reached at least one rendezvous
-	done    bool
+	ops    uint64 // operations completed
+	clock  uint64
+	depth  int // call-stack depth
+	top    string
+	inTx   bool
+	txNest int
+	state  uint32
+	ticked bool // reached at least one quantum tick
+	done   bool
 }
 
 func statusOf(t *Thread) threadStatus {
@@ -466,55 +359,7 @@ func statusOf(t *Thread) threadStatus {
 	}
 	return threadStatus{
 		clock: t.clock, depth: len(t.stack), top: top, ops: t.opCount,
-		inTx: t.tx != nil, txNest: t.txNest, state: t.State, yielded: true,
-	}
-}
-
-// pickNextLocked selects the live thread the canonical per-op schedule
-// runs next — smallest clock, ties broken by thread ID (live is kept
-// in ID order) — or the MaxCycles livelock error, or (nil, nil) when
-// every thread has finished.
-func (m *Machine) pickNextLocked() (*Thread, error) {
-	s := m.sched
-	if len(s.live) == 0 {
-		return nil, nil
-	}
-	t := s.live[0]
-	for _, c := range s.live[1:] {
-		if c.clock < t.clock {
-			t = c
-		}
-	}
-	if m.cfg.MaxCycles > 0 && t.clock > m.cfg.MaxCycles {
-		return nil, fmt.Errorf("machine: watchdog: slowest live thread passed MaxCycles=%d without completing (livelock?)\n%s",
-			m.cfg.MaxCycles, dumpStatus(s.status, -1))
-	}
-	return t, nil
-}
-
-// grantLocked hands the baton to t: freeze t's horizon (the earliest
-// other live thread), reset its quantum, and wake it.
-func (m *Machine) grantLocked(t *Thread) {
-	m.setHorizonLocked(t)
-	t.sinceYield = 0
-	t.sliceStart = t.clock
-	m.sched.running = t.ID
-	t.granted = true
-	t.cond.Signal()
-}
-
-// setHorizonLocked records the smallest (clock, ID) among the other
-// live threads. Those clocks cannot change while t holds the baton, so
-// t may run inline exactly while it stays ahead of this horizon.
-func (m *Machine) setHorizonLocked(t *Thread) {
-	t.hasHorizon = false
-	for _, c := range m.sched.live {
-		if c == t {
-			continue
-		}
-		if !t.hasHorizon || c.clock < t.hClock || (c.clock == t.hClock && c.ID < t.hID) {
-			t.hasHorizon, t.hClock, t.hID = true, c.clock, c.ID
-		}
+		inTx: t.tx != nil, txNest: t.txNest, state: t.State, ticked: true,
 	}
 }
 
@@ -524,15 +369,6 @@ func (m *Machine) setHorizonLocked(t *Thread) {
 // errors.Is either.
 var ErrCanceled = errors.New("machine: run canceled")
 
-// checkCancelLocked reports the pending cancellation, if any, stopping
-// the machine. Called with the scheduler mutex held, from a rendezvous
-// — i.e. at a quantum boundary, when no thread is mid-operation.
-func (s *scheduler) checkCancelLocked() {
-	if s.cancelErr != nil && !s.stopped {
-		s.reportLocked(fmt.Errorf("%w at a quantum boundary: %w", ErrCanceled, s.cancelErr))
-	}
-}
-
 func panicErr(id int, v any) error {
 	if err, ok := v.(error); ok {
 		return fmt.Errorf("machine: thread %d panicked: %w", id, err)
@@ -540,94 +376,7 @@ func panicErr(id int, v any) error {
 	return fmt.Errorf("machine: thread %d panicked: %v", id, v)
 }
 
-// schedule starts the machine: grant the first operation to the live
-// thread with the smallest clock, then wait for the threads — who pass
-// the baton among themselves — to report a terminal result. A watchdog
-// goroutine monitors rendezvous progress in real time; if a thread is
-// granted an operation and never yields (a deadlock in workload or
-// handler code), the scheduler fails with a per-thread diagnostic dump
-// instead of hanging forever. A cycle budget (Config.MaxCycles)
-// catches livelock the same way.
-func (m *Machine) schedule() error {
-	s := m.sched
-	timeout := m.cfg.Watchdog
-	if timeout == 0 {
-		timeout = DefaultWatchdog
-	}
-	fired := make(chan struct{})
-	stop := make(chan struct{})
-	defer close(stop)
-	if timeout > 0 {
-		go watchdogLoop(timeout, &s.progress, fired, stop)
-	}
-	if ctx := m.cfg.Context; ctx != nil {
-		// The watcher only posts the cancellation; a thread delivers it
-		// at its next rendezvous, so the stop lands on a quantum
-		// boundary with every thread between operations.
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.cancelErr = context.Cause(ctx)
-				s.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
-
-	if !s.sharded {
-		// Serial: grant the first operation to the minimum-clock thread;
-		// the threads pass the baton among themselves from there.
-		s.mu.Lock()
-		first, err := m.pickNextLocked()
-		if err != nil {
-			s.stopped = true
-			s.mu.Unlock()
-			return err
-		}
-		if first == nil {
-			s.mu.Unlock()
-			return nil
-		}
-		m.grantLocked(first)
-		s.mu.Unlock()
-	}
-
-	select {
-	case err := <-s.done:
-		return err
-	case <-fired:
-		// A terminal report may have raced the watchdog; prefer it.
-		select {
-		case err := <-s.done:
-			return err
-		default:
-		}
-		s.stopFlag.Store(true)
-		s.mu.Lock()
-		s.stopped = true
-		var stuck *Thread
-		if s.sharded {
-			// The thread holding the minimum published clock is the one
-			// every gate is waiting behind — the thread that stopped
-			// executing operations.
-			minC := uint64(clockDone)
-			for i := range s.clocks {
-				if c := s.clocks[i].v.Load(); c < minC {
-					minC, stuck = c, m.threads[i]
-				}
-			}
-		} else {
-			stuck = m.threads[s.running]
-		}
-		snap := make([]threadStatus, len(s.status))
-		copy(snap, s.status)
-		s.mu.Unlock()
-		return watchdogError(timeout, snap, stuck)
-	}
-}
-
-// watchdogLoop fires when no rendezvous completes for a whole timeout
+// watchdogLoop fires when no quantum tick completes for a whole timeout
 // window (so it triggers between timeout and 2x timeout of genuine
 // no-progress).
 func watchdogLoop(timeout time.Duration, progress *atomic.Uint64, fired, stop chan struct{}) {
@@ -662,15 +411,15 @@ func watchdogError(timeout time.Duration, status []threadStatus, stuck *Thread) 
 }
 
 // dumpStatus renders the per-thread diagnostic dump from the
-// scheduler's rendezvous snapshots. stuck is the granted-but-silent
+// scheduler's quantum-tick snapshots. stuck is the resumed-but-silent
 // thread, or -1.
 func dumpStatus(status []threadStatus, stuck int) string {
 	var b strings.Builder
-	b.WriteString("per-thread state at last rendezvous:")
+	b.WriteString("per-thread state at last quantum tick:")
 	for i, st := range status {
 		fmt.Fprintf(&b, "\n  thread %2d:", i)
-		if !st.yielded {
-			b.WriteString(" never reached a rendezvous")
+		if !st.ticked {
+			b.WriteString(" never started")
 		} else {
 			fmt.Fprintf(&b, " clock=%d ops=%d stack-depth=%d top=%s in-tx=%v", st.clock, st.ops, st.depth, st.top, st.inTx)
 			if st.txNest > 0 {
@@ -682,9 +431,9 @@ func dumpStatus(status []threadStatus, stuck int) string {
 		case st.done:
 			b.WriteString(" [finished]")
 		case i == stuck:
-			b.WriteString(" [granted, did not yield]")
+			b.WriteString(" [running, did not yield]")
 		default:
-			b.WriteString(" [waiting for grant]")
+			b.WriteString(" [suspended]")
 		}
 	}
 	return b.String()

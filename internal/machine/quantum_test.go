@@ -1,9 +1,9 @@
 package machine
 
-// Equivalence of the run-quantum scheduler with the per-op schedule:
-// Quantum=1 forces a rendezvous after every operation (the canonical
-// smallest-clock schedule), and any larger quantum must reproduce it
-// exactly — same sample stream, same clocks, same ground truth.
+// Quantum invariance: Quantum=1 runs the quantum tick (status
+// snapshot, watchdog progress, cancellation check) after every
+// operation, and any larger quantum must reproduce that run exactly —
+// same sample stream, same clocks, same ground truth.
 
 import (
 	"reflect"
@@ -18,6 +18,7 @@ type quantumRun struct {
 	total   uint64
 	commits []uint64
 	aborts  []uint64
+	mem     uint64 // final memory fingerprint
 }
 
 func runQuantumWorkload(t *testing.T, quantum int) quantumRun {
@@ -51,7 +52,7 @@ func runQuantumWorkload(t *testing.T, quantum int) quantumRun {
 	if err != nil {
 		t.Fatalf("quantum %d: %v", quantum, err)
 	}
-	r := quantumRun{samples: h.samples, elapsed: m.Elapsed(), total: m.TotalCycles()}
+	r := quantumRun{samples: h.samples, elapsed: m.Elapsed(), total: m.TotalCycles(), mem: m.Mem.Fingerprint()}
 	g := m.GroundTruth()
 	r.commits = g.PerThreadCommits
 	r.aborts = g.PerThreadAborts

@@ -1,13 +1,14 @@
 package machine
 
 // Telemetry instrumentation: the machine emits trace events for
-// scheduler baton tenures, transaction regions, and PMU interrupt
+// scheduler run slices, transaction regions, and PMU interrupt
 // deliveries, and publishes exact post-run counters into a metrics
 // registry. Every emitted value is virtual (cycle clocks, cause
 // codes), so traces and metrics are deterministic for a seed and
-// invariant to the run quantum — run-slice boundaries are the actual
-// thread switches of the canonical per-op schedule, which the quantum
-// provably does not move (DESIGN.md §3.1).
+// invariant to the run quantum and GOMAXPROCS — run-slice boundaries
+// are the driver's switches between threads, which happen only at
+// blocked gates and thread exits, never at quantum ticks (DESIGN.md
+// §3.1).
 
 import (
 	"fmt"
@@ -47,7 +48,7 @@ const traceBatchSize = 256
 
 // TraceEvent records ev on the machine's virtual timeline through the
 // thread's local batch, flushing to the tracer ring when the batch
-// fills (and at scheduler handoffs). Runtime libraries layered on the
+// fills (and at thread switches). Runtime libraries layered on the
 // machine (e.g. internal/rtm) use it instead of Tracer().Emit so
 // their spans ride the same amortized path. No-op when tracing is
 // disabled.
@@ -69,12 +70,18 @@ func (t *Thread) flushTrace() {
 	}
 }
 
-// emitRunSlice records one baton tenure of t ending now; called at
-// handoffs and thread completion, under the scheduler mutex.
-func (t *Thread) emitRunSlice() {
+// endSlice records t's run slice ending now — the driver switched to
+// another thread or t finished — and hands t's buffered events to the
+// tracer, so the ring stays near-ordered. A no-op for a nil thread or
+// when tracing is off.
+func (t *Thread) endSlice() {
+	if t == nil || t.evBatch == nil {
+		return
+	}
 	t.TraceEvent(telemetry.Event{
 		Kind: telemetry.KindRunSlice, TS: t.sliceStart, Dur: t.clock - t.sliceStart, TID: int32(t.ID),
 	})
+	t.flushTrace()
 }
 
 // PublishMetrics writes the machine's exact post-run instrumentation

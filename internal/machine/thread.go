@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"txsampler/internal/faults"
 	"txsampler/internal/htm"
@@ -76,38 +74,23 @@ type Thread struct {
 	commits uint64
 	aborts  [8]uint64 // indexed by htm.Cause
 
-	// Run-quantum scheduling state. cond waits on the machine
-	// scheduler's mutex; granted is the baton. The horizon is the
-	// smallest (clock, ID) among the other live threads, frozen at
-	// grant time: while this thread stays below it, the per-op
-	// scheduler would re-select this thread anyway, so operations run
-	// inline without a rendezvous.
-	cond       *sync.Cond
-	granted    bool
-	hasHorizon bool
-	hClock     uint64
-	hID        int
-	sinceYield uint64 // operations since the last rendezvous
-	opCount    uint64 // operations completed (diagnostics)
-	quantum    uint64 // rendezvous at least every quantum operations
-	maxCycles  uint64 // cached Config.MaxCycles
+	// Scheduling state (see sched.go). yield suspends the thread's
+	// coroutine back to the driver. lastPub is the published clock: the
+	// pre-operation clock of whatever runs next. The horizon (hClock,
+	// hID) is the smallest other live (published clock, ID), frozen
+	// when the driver resumed this thread.
+	yield     func(struct{}) bool
+	lastPub   uint64
+	hClock    uint64
+	hID       int
+	sinceTick uint64 // operations since the last quantum tick
+	opCount   uint64 // operations completed (diagnostics)
+	quantum   uint64 // quantum tick every quantum operations
+	maxCycles uint64 // cached Config.MaxCycles
 
-	// Sharded-scheduler state (see sched_sharded.go). pub is this
-	// thread's published-clock slot; lastPub mirrors the last value
-	// stored there (always the pre-operation clock of whatever runs
-	// next). gated caches that the gate condition was proven for
-	// lastPub; (hasG, gClock, gID) cache the minimum other published
-	// (clock, ID) seen by the last scan — a monotone lower bound.
-	sharded bool
-	pub     *atomic.Uint64
-	lastPub uint64
-	gated   bool
-	hasG    bool
-	gClock  uint64
-	gID     int
-
-	// Telemetry state: the clock at the last baton grant (run-slice
-	// start) and exact delivery counts published post-run.
+	// Telemetry state: the clock when the driver switched to this
+	// thread (run-slice start) and exact delivery counts published
+	// post-run.
 	sliceStart       uint64
 	interrupts       uint64 // PMU interrupts taken
 	samplesDelivered uint64 // samples handed to the handler
@@ -135,15 +118,10 @@ func newThread(m *Machine, id int) *Thread {
 		lbrBuf:    lbr.New(m.cfg.LBRDepth),
 		rng:       rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(id))),
 		stack:     append(make([]frame, 0, 64), frame{fn: "thread_root"}),
-		cond:      sync.NewCond(&m.sched.mu),
 		quantum:   uint64(m.cfg.Quantum),
 		maxCycles: m.cfg.MaxCycles,
 	}
 	t.counters.SetPeriods(m.cfg.Periods)
-	if m.sched.sharded {
-		t.sharded = true
-		t.pub = &m.sched.clocks[id].v
-	}
 	if m.cfg.Trace != nil {
 		t.evBatch = make([]telemetry.Event, 0, traceBatchSize)
 	}
@@ -162,141 +140,6 @@ func newThread(m *Machine, id int) *Thread {
 		t.clock = uint64(t.rng.Int63n(int64(m.cfg.StartSkew)))
 	}
 	return t
-}
-
-// main is the goroutine body driving the workload under the scheduler.
-func (t *Thread) main(body func(*Thread)) {
-	defer func() { t.finish(recover()) }()
-	if t.sharded {
-		// No start grant: threads free-run immediately; the gates order
-		// every shared-state operation canonically. The initial tick
-		// picks up a context that was canceled before Run, so even a
-		// workload shorter than one quantum observes the cancellation.
-		t.quantumTick()
-		body(t)
-		return
-	}
-	s := t.m.sched
-	s.mu.Lock()
-	for !t.granted {
-		t.cond.Wait()
-	}
-	t.granted = false
-	s.mu.Unlock()
-	body(t)
-}
-
-// finish runs when the workload body returns or panics: it records the
-// final status, removes the thread from the live set, and either
-// reports the terminal result (panic, or all threads done) or hands
-// the baton to the next runnable thread.
-func (t *Thread) finish(panicked any) {
-	if t.sharded {
-		t.finishSharded(panicked)
-		return
-	}
-	s := t.m.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := statusOf(t)
-	st.ops = t.opCount
-	st.done = true
-	s.status[t.ID] = st
-	s.progress.Add(1)
-	if t.m.cfg.Trace != nil {
-		t.emitRunSlice()
-		t.flushTrace()
-	}
-	for i, c := range s.live {
-		if c == t {
-			s.live = append(s.live[:i], s.live[i+1:]...)
-			break
-		}
-	}
-	if s.stopped {
-		return
-	}
-	if panicked != nil {
-		// Fail fast: the dead thread may hold a spin lock other
-		// threads wait on forever. Remaining thread goroutines stay
-		// parked and are collected with the machine. Wrap error panic
-		// values so callers can errors.Is/As typed workload failures.
-		s.reportLocked(panicErr(t.ID, panicked))
-		return
-	}
-	next, err := t.m.pickNextLocked()
-	if err != nil {
-		s.reportLocked(err)
-		return
-	}
-	if next == nil {
-		s.reportLocked(nil) // all threads completed: completion wins over a racing cancel
-		return
-	}
-	s.checkCancelLocked()
-	if s.stopped {
-		return
-	}
-	t.m.grantLocked(next)
-}
-
-// rendezvous is the scheduling point: record status, pick the next
-// runnable thread by (clock, ID), and either continue (this thread is
-// still the minimum) or hand the baton over and wait to be granted.
-func (t *Thread) rendezvous() {
-	s := t.m.sched
-	s.mu.Lock()
-	st := statusOf(t)
-	st.ops = t.opCount
-	s.status[t.ID] = st
-	s.progress.Add(1)
-	s.checkCancelLocked()
-	if s.stopped {
-		t.parkLocked()
-	}
-	next, err := t.m.pickNextLocked()
-	if err != nil {
-		s.reportLocked(err)
-		t.parkLocked()
-	}
-	if next == t {
-		// The baton stays here: the run slice continues, so no trace
-		// event — slice boundaries stay quantum-invariant.
-		t.m.setHorizonLocked(t)
-		t.sinceYield = 0
-		s.running = t.ID
-		s.mu.Unlock()
-		return
-	}
-	if t.m.cfg.Trace != nil {
-		t.emitRunSlice()
-		t.flushTrace() // hand off with an empty batch: ring stays near-ordered
-	}
-	t.m.grantLocked(next)
-	for !t.granted {
-		t.cond.Wait()
-	}
-	t.granted = false
-	s.mu.Unlock()
-}
-
-// parkLocked blocks the calling thread goroutine forever (the machine
-// has failed; the goroutine is abandoned exactly as the channel-based
-// scheduler abandoned threads parked at a rendezvous). Never returns.
-func (t *Thread) parkLocked() {
-	t.flushTrace() // retire buffered trace events before blocking forever
-	for {
-		t.cond.Wait()
-	}
-}
-
-// mayContinue reports whether the per-op scheduler would re-select
-// this thread for its next operation: its clock is still below the
-// horizon (the smallest other live thread's clock at grant time,
-// which cannot change while this thread runs), or ties it with a
-// smaller ID.
-func (t *Thread) mayContinue() bool {
-	return !t.hasHorizon || t.clock < t.hClock || (t.clock == t.hClock && t.ID < t.hID)
 }
 
 // Clock returns the thread's cycle clock.
@@ -364,16 +207,16 @@ type opMeta struct {
 // and run the fault injector's per-operation hooks. The operation's
 // effect then executes inline in the caller, followed by endOp.
 //
-// Under the sharded scheduler, any operation inside a transaction
-// gates first — other threads' canonical-order operations may doom
-// this transaction, so even thread-private work must observe shared
-// state at its canonical position.
+// Any operation inside a transaction gates first: other threads'
+// canonical-order operations may doom this transaction, so even
+// thread-private work must observe shared state at its canonical
+// position.
 func (t *Thread) startOp() {
-	if t.sharded && t.tx != nil {
+	if t.tx != nil {
 		t.gate()
-	}
-	if t.tx != nil && t.tx.Doomed {
-		t.abortNow() // asynchronous abort arrived between operations
+		if t.tx.Doomed {
+			t.abortNow() // asynchronous abort arrived between operations
+		}
 	}
 	if t.inj != nil {
 		t.inj.Tick()
@@ -393,22 +236,17 @@ func (t *Thread) startOp() {
 }
 
 // startShared begins an operation whose effect touches shared machine
-// state (memory, caches, the HTM engine) even outside a transaction.
-// Under the sharded scheduler it first gates at the thread's canonical
-// position; under the serial scheduler the baton already serializes.
+// state (memory, caches, the HTM engine) even outside a transaction: it
+// first gates at the thread's canonical position.
 func (t *Thread) startShared() {
-	if t.sharded {
-		t.gate()
-	}
+	t.gate()
 	t.startOp()
 }
 
 // endOp completes one operation: unwind if the effect doomed the
 // transaction, advance the clock and PMU counters, deliver counter
-// overflow interrupts, and reach the scheduler's slow path — a serial
-// rendezvous when the per-op schedule would select another thread or
-// the quantum expires, or (sharded) a publish of the advanced clock
-// plus per-quantum bookkeeping.
+// overflow interrupts, publish the advanced clock, and run the
+// livelock check and the per-quantum bookkeeping.
 func (t *Thread) endOp(meta opMeta, cost uint64) {
 	if t.tx != nil && t.tx.Doomed {
 		t.abortNow() // the effect doomed us (capacity, sync, explicit)
@@ -425,29 +263,20 @@ func (t *Thread) endOp(meta opMeta, cost uint64) {
 		n++
 	}
 	if n > 0 && t.m.handler != nil {
-		if t.sharded {
-			// Sample delivery mutates shared collector state. Gate at
-			// the operation's canonical position — lastPub still holds
-			// the pre-operation clock — before invoking the handler.
-			t.gate()
-		}
+		// Sample delivery mutates shared collector state. Gate at the
+		// operation's canonical position — lastPub still holds the
+		// pre-operation clock — before invoking the handler.
+		t.gate()
 		t.deliverInterrupt(over[:n], meta)
 	}
 	t.opCount++
-	t.sinceYield++
-	if t.sharded {
-		t.publish()
-		if t.maxCycles > 0 && t.clock > t.maxCycles {
-			t.livelockSharded()
-		}
-		if t.sinceYield >= t.quantum {
-			t.quantumTick()
-		}
-		return
+	t.sinceTick++
+	t.lastPub = t.clock
+	if t.maxCycles > 0 && t.clock > t.maxCycles {
+		t.livelock()
 	}
-	if t.sinceYield >= t.quantum || !t.mayContinue() ||
-		(t.maxCycles > 0 && t.clock > t.maxCycles) {
-		t.rendezvous()
+	if t.sinceTick >= t.quantum {
+		t.quantumTick()
 	}
 }
 
@@ -500,12 +329,10 @@ func (t *Thread) abortNow() {
 		t.deliverSamples(events[:], from, truth, true, opMeta{})
 	}
 	// Deliberately no publish here: the unwind skips endOp, so the
-	// first operation after the abort runs while this thread still
-	// holds the gate at the aborted operation's canonical position —
-	// exactly matching the serial scheduler, where the unwind skips
-	// the rendezvous check and the post-abort operation's effect
-	// executes before the baton can move. The rider's own endOp
-	// publish releases the gate.
+	// first operation after the abort still gates at the aborted
+	// operation's canonical position and runs before any other thread
+	// can move, as in the per-op schedule. The rider's own endOp
+	// publish releases the position.
 	panic(txAbortSentinel{})
 }
 
@@ -536,8 +363,8 @@ func (t *Thread) deliverInterrupt(events []pmu.Event, meta opMeta) {
 	}
 	t.deliverSamples(events, ip, truth, wasInTx, meta)
 	if wasInTx {
-		// No publish: the post-abort operation rides along under the
-		// held gate, as in the serial scheduler; see abortNow.
+		// No publish: the post-abort operation rides along at the same
+		// canonical position; see abortNow.
 		panic(txAbortSentinel{})
 	}
 }
@@ -917,9 +744,9 @@ func (t *Thread) TxBegin() {
 // buffered stores to memory, or unwinds if it was doomed at the commit
 // point. A nested commit only decrements the flattened nesting depth.
 func (t *Thread) TxCommit() {
-	// startOp first: the gate must be held (sharded) before reading
-	// t.tx.Doomed, which a concurrent thread's conflicting access may
-	// set from its own gated operation.
+	// startOp first: the thread must be at its canonical position
+	// before reading t.tx.Doomed, which another thread's conflicting
+	// access may set from its own gated operation.
 	t.startOp()
 	if t.tx != nil && !t.tx.Doomed && t.txNest > 0 {
 		t.txNest--

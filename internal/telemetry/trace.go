@@ -14,10 +14,11 @@ import (
 type Kind uint8
 
 const (
-	// KindRunSlice is one thread's baton tenure on the scheduler
-	// track: from baton grant to the handoff that moved it to another
-	// thread. Slice boundaries are actual thread switches of the
-	// canonical per-op schedule, so they are quantum-invariant.
+	// KindRunSlice is one thread's run slice on the scheduler track:
+	// from the scheduler's switch to the thread until its switch to
+	// another thread (or the thread's exit). Switches happen only at
+	// blocked gates of the canonical schedule, so slice boundaries are
+	// quantum-invariant.
 	KindRunSlice Kind = iota
 	// KindTx is a committed transaction region (outermost XBEGIN to
 	// XEND).
@@ -43,7 +44,7 @@ const (
 // the same simulated thread never overlap within one track.
 const (
 	PIDMachine   = 0 // transaction regions, interrupts, generic spans
-	PIDScheduler = 1 // run slices (baton tenures)
+	PIDScheduler = 1 // run slices (thread switches)
 	PIDAnalyzer  = 2 // frontend/analyzer phases
 )
 

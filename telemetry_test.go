@@ -2,15 +2,16 @@ package txsampler_test
 
 // End-to-end telemetry determinism: for a fixed seed the Chrome trace
 // and the deterministic metrics snapshot must be byte-identical across
-// runs and invariant to the scheduler quantum, because every recorded
-// value is virtual (cycle clocks, sequence clocks, exact counters) —
-// the property the CI determinism job enforces on whole profile
-// databases.
+// runs and invariant to the scheduler quantum and GOMAXPROCS, because
+// every recorded value is virtual (cycle clocks, sequence clocks, exact
+// counters) — the property the CI determinism job enforces on whole
+// profile databases.
 
 import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"txsampler"
@@ -57,6 +58,12 @@ func TestTraceDeterministicAndQuantumInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap1, snapQ) {
 		t.Fatal("metrics snapshot changed under per-op quantum")
+	}
+	old := runtime.GOMAXPROCS(1)
+	traceP, _, _ := traceRun(t, "synchro/linkedlist", seed, 0)
+	runtime.GOMAXPROCS(old)
+	if !bytes.Equal(trace1, traceP) {
+		t.Fatal("trace changed under GOMAXPROCS=1")
 	}
 }
 
@@ -129,5 +136,26 @@ func TestDisabledTelemetryMatchesBaselineResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare.GroundTruth, traced.GroundTruth) {
 		t.Fatal("telemetry perturbed ground truth")
+	}
+}
+
+// TestTracedProfileMatchesUntraced: tracing observes the run it is
+// attached to, so the traced run's profile database is byte-identical
+// to the untraced run's.
+func TestTracedProfileMatchesUntraced(t *testing.T) {
+	for _, name := range []string{"synchro/linkedlist", "stamp/vacation", "micro/mixed"} {
+		opts := txsampler.Options{Seed: 13, Threads: 4, Profile: true}
+		bare, err := txsampler.Run(name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Trace = telemetry.NewTracer(0)
+		traced, err := txsampler.Run(name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(serialize(t, bare.Report), serialize(t, traced.Report)) {
+			t.Errorf("%s: tracing changed the profile database", name)
+		}
 	}
 }
